@@ -1,24 +1,21 @@
-"""Warm-path serving bench: vectorized steady-state frame throughput.
+"""Warm-path serving bench: steady-state frame throughput.
 
-PR 3 vectorized the *cold* weight-programming chain and recorded the
-engine at ~1592 wall-clock FPS on the kernel-swapping LeNet stream
-(``BENCH_program.json`` → ``engine.wall_clock_fps``).  This bench covers
-the *warm* path that PR landed next: admitted frames stage fleet-wide
-(one stack + one ternary encode per model/geometry) and each per-(node,
-model) run computes in one batched forward, with the pre-vectorization
-per-chunk loop retained as ``compute_mode="reference"``.
-
-Two workloads (see :func:`repro.analysis.perf.bench_warm_path`):
+The serving engine computes admitted frames on one path: each node's
+same-model runs go through the hardware pipeline in ``micro_batch``
+chunks, and a kernel swap is a lookup of the node's memoized program key.
+This bench measures that path on two streams (see
+:func:`repro.analysis.perf.bench_warm_path`):
 
 * **engine-limited** — a long drop-free MLP-stem stream where per-frame
   engine overhead bounds throughput; carries the headline
-  ``wall_clock_fps`` and the ≥10x claim against the 1592 baseline;
-* **compute-bound** — the PR-3 LeNet stream, where the off-chip head
-  dominates and batching cannot help; kept for trajectory continuity.
+  ``wall_clock_fps``;
+* **compute-bound** — the kernel-swapping two-LeNet stream, where the
+  off-chip head dominates.
 
-Both workloads assert the batched and reference modes deliver
-byte-for-byte identical outputs on the bench stream itself.  The run
-writes ``BENCH_warm_path.json`` at the repo root through the guarded
+Each stream reports whole-``serve()`` throughput (``serve_fps``) and
+asserts its outputs hash to the digest recorded before the engine's
+second compute path was removed.  The run writes ``BENCH_warm_path.json``
+at the repo root through the guarded
 :func:`~repro.analysis.perf.write_bench` — a ``REPRO_BENCH_QUICK=1``
 smoke run (shorter stream, one repeat) never clobbers a full-mode
 trajectory entry, and the payload must parse as *strict* JSON (no
@@ -54,10 +51,10 @@ def bench_result(save_artifact):
     return result
 
 
-def test_batched_and_reference_modes_bit_identical(bench_result):
-    """The bit-identity contract, measured on the bench streams."""
-    assert bench_result["engine_limited"]["bit_identical"] is True
-    assert bench_result["compute_bound"]["bit_identical"] is True
+def test_streams_match_recorded_digests(bench_result):
+    """Both bench streams serve the recorded output bytes."""
+    assert bench_result["engine_limited"]["digest_matches"] is True
+    assert bench_result["compute_bound"]["digest_matches"] is True
 
 
 def test_headline_stream_is_drop_free(bench_result):
@@ -66,19 +63,12 @@ def test_headline_stream_is_drop_free(bench_result):
     assert limited["delivered"] == limited["frames"]
 
 
-def test_warm_path_beats_cold_baseline_10x(bench_result):
-    """The acceptance claim: ≥10x the 1592 FPS PR-3 engine number.
-
-    Skipped in quick smoke mode — a 256-frame single-repeat stream on a
-    loaded CI box measures noise, and the full-mode trajectory entry is
-    the claim of record.
-    """
-    if bench_result["quick"]:
-        pytest.skip("throughput claim is asserted on full-mode runs only")
-    assert bench_result["speedup_vs_baseline"] >= 10.0, (
-        f"warm path at {bench_result['wall_clock_fps']:.0f} FPS is below "
-        f"10x the {bench_result['baseline_fps']:.0f} FPS baseline"
-    )
+def test_whole_call_throughput_is_positive(bench_result):
+    """Both streams report whole-``serve()`` throughput, which can never
+    exceed the report's own (partial-call) figure."""
+    for stream in ("engine_limited", "compute_bound"):
+        measured = bench_result[stream]
+        assert 0.0 < measured["serve_fps"] <= measured["wall_clock_fps"]
 
 
 def test_warm_path_json_is_strict_json(bench_result):
@@ -91,4 +81,4 @@ def test_warm_path_json_is_strict_json(bench_result):
     with open(BENCH_JSON) as handle:
         payload = json.load(handle, parse_constant=reject)
     assert payload["bench"] == "warm_path"
-    assert payload["engine_limited"]["batched_fps"] > 0
+    assert payload["engine_limited"]["serve_fps"] > 0

@@ -105,6 +105,9 @@ class OpticalProcessingCore:
         self.ring = MicroringResonator(self.config.microring)
         self.grid = self.config.wdm
         self._read_rng = derive_rng(seed, "opc-read-noise")
+        #: (weights, config, sigma) of the last noisy readout: serving
+        #: reads one programmed tensor for many micro-batches in a row.
+        self._read_sigma: tuple = (None, None, 0.0)
         self._programmed: ProgrammedWeights | None = None
 
     # ------------------------------------------------------------------
@@ -263,6 +266,14 @@ class OpticalProcessingCore:
     def _add_read_noise(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         if not self.enable_read_noise or self.config.bpd_read_noise_fraction == 0.0:
             return values
+        seen_weights, seen_config, sigma = self._read_sigma
+        if weights is not seen_weights or self.config is not seen_config:
+            sigma = self._read_noise_sigma(weights)
+            self._read_sigma = (weights, self.config, sigma)
+        return values + self._read_rng.normal(0.0, sigma, size=values.shape)
+
+    def _read_noise_sigma(self, weights: np.ndarray) -> float:
+        """BPD read-noise standard deviation for a readout of ``weights``."""
         full_scale_weight = float(np.max(np.abs(weights)))
         arm_full_scale = self.config.macs_per_arm * full_scale_weight  # A=1 max
         if weights.ndim == 4:
@@ -272,12 +283,11 @@ class OpticalProcessingCore:
             num_arm_reads = weights.shape[1] * arms_per_plane
         else:
             num_arm_reads = max(1, -(-weights.shape[1] // self.config.mrs_per_bank))
-        sigma = (
+        return (
             self.config.bpd_read_noise_fraction
             * arm_full_scale
             * np.sqrt(num_arm_reads)
         )
-        return values + self._read_rng.normal(0.0, sigma, size=values.shape)
 
     # ------------------------------------------------------------------
     # Diagnostics

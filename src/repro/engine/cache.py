@@ -203,7 +203,27 @@ class WeightProgramCache:
         ``opc`` without re-running AWC realization/crosstalk/tuning; on a
         miss the OPC programs normally and the result is cached.
         """
-        key = self.key_for(opc, quantized_weights, scale)
+        return self.install_or_program(
+            self.key_for(opc, quantized_weights, scale),
+            opc,
+            quantized_weights,
+            scale,
+        )
+
+    def install_or_program(
+        self,
+        key: str,
+        opc: OpticalProcessingCore,
+        quantized_weights: np.ndarray,
+        scale: float,
+    ) -> tuple[ProgrammedWeights, bool]:
+        """:meth:`get_or_program` for a caller that already holds the key.
+
+        ``key`` must be :meth:`key_for` of the same arguments; serving
+        nodes memoize it per model so a kernel swap skips re-hashing the
+        kernel set and config.  Hit/miss counts, LRU order and the store
+        tier behave exactly as in :meth:`get_or_program`.
+        """
         cached = self._entries.get(key)
         if cached is not None:
             self._entries.move_to_end(key)

@@ -10,17 +10,15 @@ frames run through :class:`~repro.core.pipeline.HardwareFirstLayerPipeline`
 in micro-batches.  Three mechanisms make it faster and more scalable than
 a per-frame loop:
 
-* **vectorized warm path** — admitted frames are stacked and
-  ternary-encoded once per (model, frame geometry) across the whole
-  fleet, then each per-(node, model) run computes in a single batched
-  forward (row-stable ops over the full run, BLAS matrix products at the
-  ``micro_batch`` partition), amortising the per-call overhead of the
-  whole layer stack; the pre-vectorization per-chunk loop is retained as
-  ``compute_mode="reference"`` and the two are bit-identical
-  (``tests/test_engine_batched.py``);
+* **one micro-batched warm path** — each node's admitted frames are
+  grouped into consecutive same-model runs and each run computes in
+  ``micro_batch`` chunks through the hardware pipeline; the outputs are
+  pinned byte for byte by ``tests/goldens/output_digests.json``;
 * **weight-program caching** — kernel swaps reinstall cached
   :class:`~repro.core.opc.ProgrammedWeights` records instead of re-running
-  the AWC mapping chain (:mod:`repro.engine.cache`);
+  the AWC mapping chain (:mod:`repro.engine.cache`), and each node derives
+  a model's quantized kernels and cache key once, so a swap is a key
+  lookup;
 * **multi-node scheduling** — requests spread across N simulated nodes
   (distinct die seeds) with model affinity, reusing the
   :mod:`repro.sim.fleet` radio/payload models for the transport budget.
@@ -365,6 +363,11 @@ class _Node:
         )
         self.cache = cache
         self.pipelines: dict[str, HardwareFirstLayerPipeline] = {}
+        #: Per-model (quantized kernels, scale, cache key) on this die,
+        #: and the OPC state (AWC mapper, config, seed, crosstalk flag)
+        #: they were derived under.
+        self._programs: dict[str, tuple[np.ndarray, float, str]] = {}
+        self._programs_state: tuple | None = None
         #: Kernel set resident in *simulated* time (drives remap events).
         self.active_model: str | None = None
         #: Kernel set currently programmed on the host-side OPC object.
@@ -383,11 +386,54 @@ class _Node:
             self.programmed_model = entry.key  # construction programs the OPC
         return pipeline
 
+    def program_of(
+        self, entry: _ModelEntry
+    ) -> tuple[np.ndarray, float, str] | None:
+        """``entry``'s (quantized kernels, scale, cache key) on this die.
+
+        Derived on first use and memoized per model: re-quantizing the
+        kernel set and re-hashing it with the full config repr would
+        otherwise dominate every kernel swap.  The memo is dropped when an
+        input of the key changes on the OPC — its AWC mapper (e.g. a
+        calibrated-mapper swap), config, die seed or crosstalk flag.
+        ``None`` when the model has no quantized first layer.
+        """
+        opc = self.opc
+        state = (opc.awc, opc.config, opc.seed, opc.enable_crosstalk)
+        known = self._programs_state
+        if (
+            known is None
+            or state[0] is not known[0]
+            or state[1] is not known[1]
+            or state[2:] != known[2:]
+        ):
+            self._programs.clear()
+            self._programs_state = state
+        program = self._programs.get(entry.key)
+        if program is None:
+            first = HardwareFirstLayerPipeline._find_first_quant_layer(
+                entry.model
+            )
+            if first is None:
+                return None
+            quantized = first.quantizer.quantize(first.weight.data)
+            scale = first.quantizer.scale(first.weight.data)
+            key = self.cache.key_for(opc, quantized, scale)
+            program = (quantized, scale, key)
+            self._programs[entry.key] = program
+        return program
+
     def activate(self, entry: _ModelEntry) -> HardwareFirstLayerPipeline:
-        """Make ``entry`` the programmed model (cache-backed kernel swap)."""
+        """Make ``entry`` the programmed model (cache-backed kernel swap).
+
+        A swap is a lookup by the memoized key (:meth:`program_of`); on a
+        miss — first use, eviction or ``invalidate_die`` — the die
+        reprograms from the memoized kernels.
+        """
         pipeline = self.pipeline_for(entry)
         if self.programmed_model != entry.key:
-            pipeline.activate()
+            quantized, scale, key = self.program_of(entry)
+            self.cache.install_or_program(key, self.opc, quantized, scale)
             self.programmed_model = entry.key
         return pipeline
 
@@ -426,12 +472,6 @@ class FrameServer:
         ``{model_key: SloClass}`` service levels (or a prebuilt
         :class:`~repro.engine.admission.AdmissionController`); ``None``
         serves everything best-effort.
-    compute_mode:
-        ``"batched"`` (default) — the vectorized warm path: fleet-wide
-        frame staging plus whole-run batched forwards;
-        ``"reference"`` — the retained per-chunk loop.  The two produce
-        bit-identical reports on every healthy-die stream; serving under
-        a fault profile always uses the reference loop.
     chaos_plan:
         Injected fleet-failure schedule — a
         :class:`~repro.engine.chaos.ChaosPlan`, a named plan string
@@ -462,8 +502,6 @@ class FrameServer:
         store programs nothing.  ``None`` keeps the cache memory-only.
     """
 
-    COMPUTE_MODES = ("batched", "reference")
-
     def __init__(
         self,
         config: OISAConfig | None = None,
@@ -476,7 +514,6 @@ class FrameServer:
         fault_profile: FaultProfile | str | None = None,
         policy: str | SchedulingPolicy = "greedy",
         slo_classes: dict[str, SloClass] | AdmissionController | None = None,
-        compute_mode: str = "batched",
         chaos_plan: ChaosPlan | str | None = None,
         retry_policy: RetryPolicy | str | None = None,
         spares: int | SparePool = 0,
@@ -485,14 +522,8 @@ class FrameServer:
     ) -> None:
         check_positive("num_nodes", num_nodes)
         check_positive("micro_batch", micro_batch)
-        if compute_mode not in self.COMPUTE_MODES:
-            raise ValueError(
-                f"compute_mode must be one of {self.COMPUTE_MODES}, got "
-                f"{compute_mode!r}"
-            )
         self.config = config or OISAConfig()
         self.micro_batch = micro_batch
-        self.compute_mode = compute_mode
         if isinstance(program_store, (str, os.PathLike)):
             program_store = ProgramStore(program_store)
         self.cache = cache if cache is not None else WeightProgramCache()
@@ -545,7 +576,15 @@ class FrameServer:
     # Model management
     # ------------------------------------------------------------------
     def register_model(self, key: str, model: Sequential) -> None:
-        """Register a QAT model under ``key`` (its first layer serves on-die)."""
+        """Register a QAT model under ``key`` (its first layer serves on-die).
+
+        The first-layer kernels are frozen at first activation: each node
+        quantizes them and derives their cache key the first time it uses
+        the model (warmup, a kernel swap or a program pin) and reuses
+        both from then on, so later in-place edits of the first layer's
+        weights or quantizer are not picked up.  Register the edited
+        model under a new key instead.
+        """
         if key in self._models:
             raise ValueError(f"model key {key!r} is already registered")
         self._models[key] = _ModelEntry(key, model, self.config, self.fleet)
@@ -595,15 +634,12 @@ class FrameServer:
         entry = self._models.get(model_key)
         if entry is None:
             raise ValueError(f"unknown model key {model_key!r}")
-        first = HardwareFirstLayerPipeline._find_first_quant_layer(entry.model)
-        if first is None:
-            return 0
-        quantized = first.quantizer.quantize(first.weight.data)
-        scale = first.quantizer.scale(first.weight.data)
         touched = 0
         for node in self.nodes:
-            key = self.cache.key_for(node.opc, quantized, scale)
-            self.cache.set_priority(key, 1 if pinned else 0)
+            program = node.program_of(entry)
+            if program is None:
+                return 0
+            self.cache.set_priority(program[2], 1 if pinned else 0)
             touched += 1
         return touched
 
@@ -702,14 +738,11 @@ class FrameServer:
         targets: list[tuple[_Node, np.ndarray, float]] = []
         for key in keys:
             entry = self._models[key]
-            first = HardwareFirstLayerPipeline._find_first_quant_layer(
-                entry.model
-            )
-            if first is None:
-                continue  # activate() will raise the precise error
-            quantized = first.quantizer.quantize(first.weight.data)
-            scale = first.quantizer.scale(first.weight.data)
             for node in self.nodes:
+                program = node.program_of(entry)
+                if program is None:
+                    break  # activate() will raise the precise error
+                quantized, scale, _ = program
                 if self.cache.restore_from_store(node.opc, quantized, scale):
                     continue
                 calibrated = (
@@ -1032,35 +1065,12 @@ class FrameServer:
     ) -> tuple[dict[int, np.ndarray], float]:
         """Run the admitted frames in per-(node, model) runs.
 
-        Dispatches to the vectorized batched path (the default) or the
-        retained per-chunk reference loop.  The two are **bit-identical**
-        on every healthy-die stream — same floats, same RNG stream, same
-        cache counters (``tests/test_engine_batched.py``).  Serving under
-        a :class:`~repro.engine.health.HealthMonitor` always takes the
-        reference loop: degraded runs route through stateful
-        :class:`~repro.sim.faults.FaultyOpticalCore` wrappers whose draw
-        order the per-chunk loop defines.
-        """
-        if monitor is not None or self.compute_mode == "reference":
-            return self._compute_reference(requests, schedule, monitor)
-        return self._compute_batched(requests, schedule)
-
-    def _compute_reference(
-        self,
-        requests: list[FrameRequest],
-        schedule: list[tuple[int, int, str, int]],
-        monitor=None,
-    ) -> tuple[dict[int, np.ndarray], float]:
-        """The original per-chunk warm-path loop, retained verbatim.
-
-        Kept as the bit-identity reference for the batched path (the
-        same role :mod:`repro.core.reference` plays for the cold
-        weight-programming chain) and as the only compute path under a
-        fault profile.  Runs are grouped within each node's own
-        subsequence — two nodes interleaving in global arrival order must
-        not fragment each other's batches.  Under a fault profile, a run
-        additionally breaks at degradation boundaries: frames admitted
-        during an upset window compute through that upset's frozen
+        Runs are grouped within each node's own subsequence — two nodes
+        interleaving in global arrival order must not fragment each
+        other's batches — and each run computes in ``micro_batch``
+        chunks.  Under a fault profile, a run additionally breaks at
+        degradation boundaries: frames admitted during an upset window
+        compute through that upset's frozen
         :class:`~repro.sim.faults.FaultyOpticalCore`, frames before/after
         it on the healthy programmed core.
         """
@@ -1098,85 +1108,9 @@ class FrameServer:
                             for idx, _, _ in chunk
                         ]
                     )
-                    if core is not None:
-                        logits = pipeline.forward(
-                            batch, batch_size=len(chunk), core=core
-                        )
-                    else:
-                        logits = pipeline.forward(batch, batch_size=len(chunk))
+                    logits = pipeline.forward(
+                        batch, batch_size=len(chunk), core=core
+                    )
                     for offset, (idx, _, _) in enumerate(chunk):
                         outputs[idx] = logits[offset]
-        return outputs, time.perf_counter() - started
-
-    def _compute_batched(
-        self,
-        requests: list[FrameRequest],
-        schedule: list[tuple[int, int, str, int]],
-    ) -> tuple[dict[int, np.ndarray], float]:
-        """Vectorized warm path: fleet-wide staging + whole-run forwards.
-
-        Bit-identical to :meth:`_compute_reference` by construction:
-
-        * frames are stacked and ternary-encoded **once per (model,
-          frame geometry) across every node** — the encode is elementwise
-          (row-stable), so slicing the fleet-wide tensor per run yields
-          the same bits the per-chunk ``np.stack`` path produced;
-        * each run then computes in one
-          :meth:`~repro.core.pipeline.HardwareFirstLayerPipeline.
-          forward_batched` call, which batches every row-stable op
-          (optical conv, pools, batch-norm, activations, read-noise
-          draw) over the whole run and keeps the BLAS matrix products at
-          the exact ``micro_batch`` partition of the reference loop;
-        * nodes and runs are walked in the reference order, with one
-          :meth:`_Node.activate` per run, so per-node read-noise RNG
-          streams and cache hit/miss counters evolve identically.
-        """
-        outputs: dict[int, np.ndarray] = {}
-        per_node: dict[int, list[tuple[int, str, int]]] = {}
-        for idx, node_id, model_key, tag in schedule:
-            per_node.setdefault(node_id, []).append((idx, model_key, tag))
-
-        started = time.perf_counter()
-        # Fleet-wide input staging: one stack + one ternary encode per
-        # (model, frame geometry) covering every admitted frame.
-        groups: dict[tuple[str, tuple[int, ...]], list[int]] = {}
-        for idx, _, model_key, _ in schedule:
-            shape = tuple(np.shape(requests[idx].frame))
-            groups.setdefault((model_key, shape), []).append(idx)
-        staged: dict[
-            tuple[str, tuple[int, ...]], tuple[np.ndarray, dict[int, int]]
-        ] = {}
-        for (model_key, shape), indices in groups.items():
-            stack = np.stack(
-                [np.asarray(requests[i].frame, dtype=float) for i in indices]
-            )
-            encoded = self._models[model_key].model.layers[0].forward(stack)
-            staged[(model_key, shape)] = (
-                encoded,
-                {idx: row for row, idx in enumerate(indices)},
-            )
-
-        for node_id, entries in per_node.items():
-            node = self.nodes[node_id]
-            position = 0
-            while position < len(entries):
-                _, model_key, tag = entries[position]
-                run_end = position
-                while (
-                    run_end < len(entries)
-                    and entries[run_end][1:] == (model_key, tag)
-                ):
-                    run_end += 1
-                indices = [idx for idx, _, _ in entries[position:run_end]]
-                position = run_end
-
-                pipeline = node.activate(self._models[model_key])
-                shape = tuple(np.shape(requests[indices[0]].frame))
-                encoded, row_of = staged[(model_key, shape)]
-                ternary = encoded[[row_of[idx] for idx in indices]]
-                logits = pipeline.forward_batched(
-                    None, batch_size=self.micro_batch, ternary=ternary
-                )
-                for offset, idx in enumerate(indices):
-                    outputs[idx] = logits[offset]
         return outputs, time.perf_counter() - started

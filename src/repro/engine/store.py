@@ -164,7 +164,13 @@ class ProgramStore:
         Content-addressed: a key already on disk is left untouched (the
         bytes would be identical by the determinism contract).  Write
         failures (disk full, read-only store) are logged and swallowed —
-        the store is an accelerator, never a point of failure.
+        the store is an accelerator, never a point of failure.  The temp
+        file is removed on any exception; non-I/O errors propagate.
+
+        The die seed is stored losslessly: ``uint64`` for a non-negative
+        seed (spawned die seeds span the full 64-bit range), ``int64``
+        otherwise — the dtype entries written before this rule used,
+        which :meth:`_read` still accepts.
         """
         path = self._path(key)
         if os.path.exists(path):
@@ -177,6 +183,7 @@ class ProgramStore:
             programmed.mapping_iterations,
             die,
         )
+        die_dtype = np.int64 if die is not None and die < 0 else np.uint64
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
             with open(tmp, "wb") as handle:
@@ -197,19 +204,21 @@ class ProgramStore:
                         programmed.mapping_iterations
                     ),
                     die=np.array(
-                        [] if die is None else [die], dtype=np.int64
+                        [] if die is None else [die], dtype=die_dtype
                     ),
                     digest=np.frombuffer(
                         bytes.fromhex(digest), dtype=np.uint8
                     ),
                 )
             os.replace(tmp, path)
-        except OSError as error:
-            _LOG.warning("program store write failed for %s: %s", key, error)
+        except BaseException as error:
             try:
                 os.remove(tmp)
             except OSError:
                 pass
+            if not isinstance(error, OSError):
+                raise
+            _LOG.warning("program store write failed for %s: %s", key, error)
             return False
         self.stats.writes += 1
         return True

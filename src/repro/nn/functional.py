@@ -22,10 +22,25 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def pad_nchw(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the two spatial axes of an NCHW tensor."""
+    """Zero-pad the two spatial axes of an NCHW tensor.
+
+    Byte-for-byte equal to ``np.pad`` with zeros, including its output
+    memory order (Fortran for a Fortran-only-contiguous input), without
+    its per-axis padding machinery.
+    """
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    x = np.asarray(x)
+    if padding < 0:
+        raise ValueError(f"padding must be non-negative, got {padding}")
+    n, c, h, w = x.shape
+    out = np.zeros(
+        (n, c, h + 2 * padding, w + 2 * padding),
+        dtype=x.dtype,
+        order="F" if x.flags.fnc else "C",
+    )
+    out[:, :, padding:-padding, padding:-padding] = x
+    return out
 
 
 def im2col(

@@ -1,8 +1,8 @@
 """Multi-core fan-out: ordered map over serial/thread/process backends.
 
-The compute paths are vectorized (cold programming ~50x, warm serving
-~26x), so the remaining wall-clock bottlenecks are the *serial fan-outs*
-wrapped around them: :meth:`~repro.engine.server.FrameServer.warmup`
+The cold programming path is vectorized (~50x), so the remaining
+wall-clock bottlenecks outside serving are the *serial fan-outs*
+wrapped around it: :meth:`~repro.engine.server.FrameServer.warmup`
 programs every (model, die) pair one at a time, the capacity planner
 (:mod:`repro.analysis.capacity`) walks its scenario x policy x nodes grid
 sequentially, and the registry sweeps (``repro sweep``,

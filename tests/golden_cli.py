@@ -1,7 +1,8 @@
 """Strict CLI entry shared by the golden-regeneration scripts.
 
 Every ``--write`` entrypoint (``tests/test_goldens.py``,
-``tests/test_engine_scheduler.py``) funnels through :func:`golden_main`
+``tests/test_engine_scheduler.py``, ``tests/test_output_digests.py``)
+funnels through :func:`golden_main`
 so regeneration hygiene is uniform and pinned by
 ``tests/test_golden_hygiene.py``:
 

@@ -1,5 +1,8 @@
 """Tests for repro.cli — the artifact-regeneration command line."""
 
+import os
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -248,6 +251,35 @@ def test_serve_program_store_cold_then_warm(tmp_path, capsys):
     assert warm_writes == 0  # second run programs nothing
     assert warm_loads > 0
     assert warm_entries == entries
+
+
+def test_serve_program_store_with_full_range_die_seeds(tmp_path, capsys):
+    """Three nodes spawn a die seed >= 2**63; the store persists it, a
+    rerun restores every program, and no temp file is left behind."""
+    from repro.util.rng import spawn_seeds
+
+    assert spawn_seeds(0, 3)[2] >= 2**63
+    store = tmp_path / "store"
+    serve = [
+        "serve",
+        "--frames",
+        "64",
+        "--nodes",
+        "3",
+        "--fps",
+        "5000",
+        "--program-store",
+        str(store),
+    ]
+    assert main(serve) == 0
+    cold = capsys.readouterr().out
+    assert main(serve) == 0
+    warm = capsys.readouterr().out
+    assert "cache hits / misses" in cold
+    assert re.search(r"cache hits / misses\s*\|\s*\d+ / 0\b", warm), warm
+    entries = sorted(os.listdir(store))
+    assert entries and all(name.endswith(".v1.npz") for name in entries)
+    assert not any(".tmp." in name for name in entries)
 
 
 def test_serve_without_store_prints_no_store_row(capsys):

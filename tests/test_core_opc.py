@@ -77,6 +77,29 @@ def test_read_noise_perturbs_outputs():
     assert np.abs(noisy - clean).max() < 0.3 * np.abs(clean).max() + 0.5
 
 
+def test_read_noise_scale_follows_weights_and_config():
+    """The noise scale is reused across readouts of one weight tensor and
+    recomputed when the weights or the config change."""
+    import copy
+    from dataclasses import replace
+
+    opc = OpticalProcessingCore(seed=4)
+    values = np.zeros((2, 4, 5, 5))
+    small, _ = _quantized_weights(seed=1)
+    large = 3.0 * small
+    for weights, config in (
+        (small, opc.config),
+        (small, opc.config),
+        (large, opc.config),
+        (large, replace(opc.config, bpd_read_noise_fraction=0.05)),
+    ):
+        opc.config = config
+        rng = copy.deepcopy(opc._read_rng)
+        expected = rng.normal(0.0, opc._read_noise_sigma(weights), values.shape)
+        noisy = opc._add_read_noise(values, weights)
+        assert noisy.tobytes() == expected.tobytes()
+
+
 def test_convolve_requires_programming():
     opc = OpticalProcessingCore(seed=0)
     with pytest.raises(RuntimeError):

@@ -188,6 +188,65 @@ def test_kernel_swaps_are_remap_events_and_cache_hits(server, frames):
     assert steady.cache_hits > 0
 
 
+def _swap(server, key):
+    """One kernel swap on the server's first node; returns its entry."""
+    entry = server._models[key]
+    server.nodes[0].activate(entry)
+    return entry
+
+
+def test_swap_after_invalidate_die_reprograms_identical_weights(server):
+    """An invalidated die misses on its next swap and the reprogram from
+    the memoized kernels reproduces the realized weights exactly."""
+    node = server.nodes[0]
+    _swap(server, "a")
+    realized = node.opc.programmed.realized.copy()
+    _swap(server, "b")
+    assert server.cache.invalidate_die(node.opc.seed) == 2
+    misses = server.cache.stats.misses
+    _swap(server, "a")
+    assert server.cache.stats.misses == misses + 1
+    assert node.opc.programmed.realized is not realized
+    np.testing.assert_array_equal(node.opc.programmed.realized, realized)
+    # And the reprogrammed entry serves the next swap back as a hit.
+    _swap(server, "b")
+    hits = server.cache.stats.hits
+    _swap(server, "a")
+    assert server.cache.stats.hits == hits + 1
+
+
+def test_swap_key_follows_awc_mapper_replacement(server):
+    """Replacing the OPC's AWC mapper (a calibration) retires the node's
+    memoized keys: the next swap derives a fresh key and programs, and
+    never installs the uncalibrated program under the stale key."""
+    from repro.core.calibration import CalibratedAwcMapper
+
+    node = server.nodes[0]
+    entry = _swap(server, "a")
+    _swap(server, "b")
+    stale = node.program_of(entry)[2]
+    uncalibrated = node.opc.programmed.realized.copy()
+    node.opc.awc = CalibratedAwcMapper(node.opc.awc)
+    misses = server.cache.stats.misses
+    _swap(server, "a")
+    fresh = node.program_of(entry)[2]
+    assert fresh != stale
+    assert fresh == WeightProgramCache.key_for(
+        node.opc, *node.program_of(entry)[:2]
+    )
+    assert server.cache.stats.misses == misses + 1
+    assert node.opc.programmed is not server.cache._entries[stale]
+    # A fresh, identically calibrated die programs the same record.
+    twin = FrameServer(num_nodes=1, micro_batch=8, seed=0)
+    twin.register_model("a", build_lenet(seed=0))
+    twin.nodes[0].opc.awc = CalibratedAwcMapper(twin.nodes[0].opc.awc)
+    _swap(twin, "a")
+    np.testing.assert_array_equal(
+        node.opc.programmed.realized, twin.nodes[0].opc.programmed.realized
+    )
+    assert not np.array_equal(node.opc.programmed.realized, uncalibrated)
+
+
 def test_remapped_frames_cost_more_simulated_energy(server, frames):
     steady = server.serve_frames(frames, "a", offered_fps=500.0)
     alternating = server.serve(
@@ -267,46 +326,25 @@ def test_out_of_order_arrivals_scheduled_by_time(server, frames):
 def test_interleaved_nodes_do_not_fragment_batches(monkeypatch):
     """Load spreading across nodes must keep per-node runs intact.
 
-    In the default batched mode each node's whole 16-frame run computes
-    in one ``forward_batched`` call; the reference loop chunks the same
-    runs at the micro-batch, never fragmenting on node interleave.
+    Admitted frames alternate between the two dies in arrival order, yet
+    each node's 16-frame run computes in full micro-batches of 8.
     """
     frames = np.random.default_rng(6).uniform(0, 1, (32, 1, 28, 28))
 
-    run_sizes = []
-    original_batched = HardwareFirstLayerPipeline.forward_batched
+    batch_sizes = []
+    original = HardwareFirstLayerPipeline.forward
 
-    def spy_batched(self, x, batch_size=256, core=None, ternary=None):
-        run_sizes.append(ternary.shape[0] if ternary is not None else x.shape[0])
-        return original_batched(
-            self, x, batch_size=batch_size, core=core, ternary=ternary
-        )
+    def spy(self, x, batch_size=256, core=None):
+        batch_sizes.append(x.shape[0])
+        return original(self, x, batch_size=batch_size, core=core)
 
-    monkeypatch.setattr(
-        HardwareFirstLayerPipeline, "forward_batched", spy_batched
-    )
+    monkeypatch.setattr(HardwareFirstLayerPipeline, "forward", spy)
     server = FrameServer(num_nodes=2, micro_batch=8, seed=0)
     server.register_model("a", build_lenet(seed=0))
     # ~2x one node's rate: admitted frames alternate between the two dies.
     report = server.serve_frames(frames, "a", offered_fps=1990.0)
     assert report.stream.dropped == 0
     assert set(report.node_frames.values()) == {16}
-    assert run_sizes == [16, 16]  # one whole-run call per node
-
-    batch_sizes = []
-    original = HardwareFirstLayerPipeline.forward
-
-    def spy(self, x, batch_size=256):
-        batch_sizes.append(x.shape[0])
-        return original(self, x, batch_size=batch_size)
-
-    monkeypatch.setattr(HardwareFirstLayerPipeline, "forward", spy)
-    reference = FrameServer(
-        num_nodes=2, micro_batch=8, seed=0, compute_mode="reference"
-    )
-    reference.register_model("a", build_lenet(seed=0))
-    report = reference.serve_frames(frames, "a", offered_fps=1990.0)
-    assert report.stream.dropped == 0
     assert batch_sizes == [8, 8, 8, 8]
 
 

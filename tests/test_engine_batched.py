@@ -1,14 +1,9 @@
-"""Warm-path vectorization contracts: batched-vs-reference bit-identity,
-zero-delivered SLO accounting, deterministic stream merging, and strict
-bench JSON.
+"""Warm-path edge contracts: zero-delivered SLO accounting, deterministic
+stream merging, and strict bench JSON.
 
-The serving engine's ``compute_mode="batched"`` path (fleet-wide frame
-staging + whole-run :meth:`~repro.core.pipeline.HardwareFirstLayerPipeline.
-forward_batched`) must reproduce the retained per-chunk reference loop
-byte-for-byte — same floats, same per-die read-noise RNG consumption,
-same cache hit/miss counters.  These tests pin that claim over the
-scenario zoo and per-stem at every weight bit width, plus the NaN and
-tie-break bug fixes that rode along in the same change.
+These rode along with the serving engine's warm compute path.  The
+bit-identity of served outputs is pinned separately by recorded digests
+in ``test_output_digests.py``.
 """
 
 import json
@@ -22,102 +17,14 @@ from repro.analysis.perf import (
     would_clobber_full_bench,
     write_bench,
 )
-from repro.core.opc import OpticalProcessingCore
-from repro.core.pipeline import HardwareFirstLayerPipeline
 from repro.engine import FrameRequest, FrameServer
 from repro.engine.admission import SloClass
-from repro.engine.workloads import (
-    ModelSpec,
-    _interleave,
-    build_scenario,
-    scenario_registry,
-)
+from repro.engine.workloads import _interleave
 from repro.sim.stream import StreamEvent, StreamReport
 
 
 def _reject_constant(name):
     raise AssertionError(f"non-JSON constant {name!r} leaked into payload")
-
-
-# ----------------------------------------------------------------------
-# Batched vs reference bit-identity
-# ----------------------------------------------------------------------
-def _serve_scenario(mode: str, key: str, policy: str = "greedy"):
-    server = FrameServer(
-        num_nodes=2, micro_batch=8, seed=0, policy=policy, compute_mode=mode
-    )
-    scenario = build_scenario(key, frames=48, offered_fps=1500.0, seed=0)
-    return server.serve_scenario(scenario)
-
-
-def _assert_reports_identical(batched, reference):
-    assert len(batched.responses) == len(reference.responses)
-    for ours, theirs in zip(batched.responses, reference.responses):
-        assert ours.node_id == theirs.node_id
-        assert ours.event == theirs.event
-        assert (ours.output is None) == (theirs.output is None)
-        if ours.output is not None:
-            assert np.array_equal(ours.output, theirs.output)
-    assert batched.cache_hits == reference.cache_hits
-    assert batched.cache_misses == reference.cache_misses
-    assert batched.node_frames == reference.node_frames
-
-
-@pytest.mark.parametrize("key", scenario_registry())
-def test_batched_serving_bit_identical_over_scenario_zoo(key):
-    """Every registered scenario serves identically in both modes."""
-    _assert_reports_identical(
-        _serve_scenario("batched", key), _serve_scenario("reference", key)
-    )
-
-
-def test_batched_serving_bit_identical_under_slo_policy():
-    """Bit-identity holds under the queueing policy too (the schedule is
-    mode-independent; only the compute path differs)."""
-    _assert_reports_identical(
-        _serve_scenario("batched", "mixed-tenants", policy="slo"),
-        _serve_scenario("reference", "mixed-tenants", policy="slo"),
-    )
-
-
-@pytest.mark.parametrize("bits", [1, 2, 3, 4])
-@pytest.mark.parametrize("family", ["vgg16", "mlp", "lenet"])
-def test_forward_batched_matches_forward_per_stem(family, bits):
-    """Pipeline-level equality at every bit width, conv and dense stems.
-
-    Two same-seed cores (so both paths consume identical read-noise
-    streams) run the same frames through ``forward`` and
-    ``forward_batched`` at a batch size that forces chunking.
-    """
-    spec = ModelSpec(family, bits)
-    frames = np.random.default_rng(3).uniform(0.0, 1.0, (20,) + spec.frame_shape)
-    logits = {}
-    for path in ("forward", "forward_batched"):
-        pipeline = HardwareFirstLayerPipeline(
-            spec.build(seed=7), OpticalProcessingCore(seed=5)
-        )
-        logits[path] = getattr(pipeline, path)(frames, batch_size=8)
-    assert np.array_equal(logits["forward"], logits["forward_batched"])
-
-
-def test_forward_batched_accepts_preencoded_ternary():
-    """The serving engine's staging path: passing the ternary encode
-    directly must equal encoding inside the call."""
-    spec = ModelSpec("lenet", 4)
-    frames = np.random.default_rng(4).uniform(0.0, 1.0, (12,) + spec.frame_shape)
-    model = spec.build(seed=2)
-    via_x = HardwareFirstLayerPipeline(model, OpticalProcessingCore(seed=9))
-    via_ternary = HardwareFirstLayerPipeline(model, OpticalProcessingCore(seed=9))
-    ternary = model.layers[0].forward(frames)
-    assert np.array_equal(
-        via_x.forward_batched(frames, batch_size=4),
-        via_ternary.forward_batched(None, batch_size=4, ternary=ternary),
-    )
-
-
-def test_compute_mode_is_validated():
-    with pytest.raises(ValueError, match="compute_mode"):
-        FrameServer(compute_mode="vectorised")
 
 
 # ----------------------------------------------------------------------

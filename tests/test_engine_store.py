@@ -304,3 +304,56 @@ def test_warm_server_programs_nothing(tmp_path):
     assert warm_report["cache_misses"] == 0
     assert warm.cache.stats.misses == 0
     assert warm.cache.stats.store_hits == cold_report["cache_misses"]
+
+
+# --------------------------------------------------------------------------
+# Die seeds across the full 64-bit range
+# --------------------------------------------------------------------------
+def test_full_range_die_seed_round_trips_and_invalidates(tmp_path):
+    """Spawned die seeds reach 2**64 - 1; the store keeps them exactly."""
+    store = ProgramStore(tmp_path)
+    key, programmed = _programmed()
+    die = 2**64 - 1
+    assert store.put(key, programmed, die=die) is True
+    _assert_byte_equal(store.load(key), programmed)
+    assert store.invalidate_die(die - 1) == 0
+    assert store.invalidate_die(die) == 1
+    assert key not in store
+
+
+def test_int64_die_seed_entries_still_load(tmp_path):
+    """Entries written with the historical int64 die field stay readable."""
+    store = ProgramStore(tmp_path)
+    key, programmed = _programmed()
+    assert store.put(key, programmed, die=7) is True
+    path = store._path(key)
+    with np.load(path) as payload:
+        assert payload["die"].dtype == np.uint64
+        fields = {name: payload[name] for name in payload.files}
+    fields["die"] = fields["die"].astype(np.int64)
+    with open(path, "wb") as handle:
+        np.savez(handle, **fields)
+    _assert_byte_equal(store.load(key), programmed)
+    assert store.invalidate_die(7) == 1
+
+
+def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch):
+    """Any exception mid-write removes the temp file; non-I/O errors
+    propagate instead of being swallowed."""
+    store = ProgramStore(tmp_path)
+    key, programmed = _programmed()
+
+    def broken_savez(*args, **kwargs):
+        raise RuntimeError("serializer exploded")
+
+    monkeypatch.setattr(np, "savez", broken_savez)
+    with pytest.raises(RuntimeError, match="serializer exploded"):
+        store.put(key, programmed, die=1)
+    assert os.listdir(tmp_path) == []
+
+    def full_disk(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "savez", full_disk)
+    assert store.put(key, programmed, die=1) is False
+    assert os.listdir(tmp_path) == []

@@ -166,3 +166,16 @@ def test_scenarios_serve_end_to_end():
         delivered = [r for r in report.responses if not r.dropped]
         assert delivered
         assert all(r.output is not None for r in delivered)
+
+
+def test_frames_batch_matches_per_frame_draws():
+    """One flat draw split per spec reproduces the per-frame draws."""
+    from repro.engine.workloads import _frame, _frames_batch
+
+    specs = [ModelSpec("lenet", 4), ModelSpec("vgg16", 1), ModelSpec("mlp", 2)]
+    batched = _frames_batch(np.random.default_rng(11), specs)
+    rng = np.random.default_rng(11)
+    for frame, spec in zip(batched, specs):
+        expected = _frame(rng, spec)
+        assert frame.shape == expected.shape
+        assert frame.tobytes() == expected.tobytes()

@@ -38,12 +38,16 @@ REGEN: dict[str, str] = {
     "fig9_repr.txt": "PYTHONPATH=src python tests/test_goldens.py --write",
     "fig9_render.txt": "PYTHONPATH=src python tests/test_goldens.py --write",
     "claims_repr.txt": "PYTHONPATH=src python tests/test_goldens.py --write",
+    "output_digests.json": (
+        "PYTHONPATH=src python tests/test_output_digests.py --write"
+    ),
 }
 
 #: The distinct ``--write`` entrypoint scripts, relative to the repo root.
 WRITE_SCRIPTS = (
     os.path.join("tests", "test_goldens.py"),
     os.path.join("tests", "test_engine_scheduler.py"),
+    os.path.join("tests", "test_output_digests.py"),
 )
 
 

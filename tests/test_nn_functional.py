@@ -124,3 +124,30 @@ def test_softmax_rows_sum_to_one():
     probs = F.softmax(logits)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(probs >= 0.0)
+
+
+@pytest.mark.parametrize("padding", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 7, 5), (4, 1, 28, 28)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint8])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_pad_nchw_equals_np_pad_byte_for_byte(padding, shape, dtype, layout):
+    """Same values, dtype, memory order and strides as ``np.pad``."""
+    rng = np.random.default_rng(1)
+    x = (rng.uniform(0.0, 100.0, size=shape)).astype(dtype)
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        x = np.concatenate([x, x], axis=3)[..., ::2]
+    expected = np.pad(
+        x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    )
+    padded = F.pad_nchw(x, padding)
+    assert padded.dtype == expected.dtype
+    assert padded.shape == expected.shape
+    assert padded.strides == expected.strides
+    assert padded.tobytes(order="A") == expected.tobytes(order="A")
+
+
+def test_pad_nchw_zero_padding_is_identity():
+    x = np.ones((1, 2, 3, 3))
+    assert F.pad_nchw(x, 0) is x

@@ -92,6 +92,26 @@ def test_missing_invariant_counts_as_failure():
     assert len(failures) == 7  # all schema-2 exact claims absent
 
 
+def test_warm_path_digest_invariants_gated():
+    """Each warm-path stream must match its recorded output digest; a
+    legacy payload carrying only the two-mode flags fails both."""
+    fresh = {
+        "quick": True,
+        "engine_limited": {"digest_matches": True},
+        "compute_bound": {"digest_matches": True},
+    }
+    assert kpi_check.check_invariants("warm_path", fresh) == []
+    fresh["compute_bound"] = {"digest_matches": False}
+    failures = kpi_check.check_invariants("warm_path", fresh)
+    assert len(failures) == 1
+    assert "compute_bound.digest_matches" in failures[0]
+    legacy = {
+        "engine_limited": {"bit_identical": True},
+        "compute_bound": {"bit_identical": True},
+    }
+    assert len(kpi_check.check_invariants("warm_path", legacy)) == 2
+
+
 # --------------------------------------------------------------------------
 # Trajectory comparisons
 # --------------------------------------------------------------------------

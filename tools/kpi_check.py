@@ -10,7 +10,7 @@ falls beyond its per-metric tolerance.
 Two kinds of checks:
 
 1. **invariants** — exact claims a payload must carry regardless of host
-   speed (bit-identity flags, drop-free streams).  Checked on the fresh
+   speed (bit-identity flags, recorded output digests).  Checked on the fresh
    payload in full *and* quick mode — the smoke benches assert the same
    claims, so a quick payload that breaks one is a real regression.
 2. **trajectory comparisons** — wall-clock-derived KPIs (speedups, FPS,
@@ -77,10 +77,15 @@ KPIS: dict[str, tuple[Kpi, ...]] = {
         Kpi("engine.wall_clock_fps"),
     ),
     "warm_path": (
-        Kpi("engine_limited.bit_identical", kind="invariant_true"),
-        Kpi("compute_bound.bit_identical", kind="invariant_true"),
-        Kpi("speedup_vs_baseline"),
+        # Each stream's outputs must hash to the digest recorded before
+        # the second compute path was removed.
+        Kpi("engine_limited.digest_matches", kind="invariant_true"),
+        Kpi("compute_bound.digest_matches", kind="invariant_true"),
         Kpi("wall_clock_fps"),
+        # Whole-serve() throughput of each stream, same workload on
+        # both sides of the comparison.
+        Kpi("engine_limited.serve_fps"),
+        Kpi("compute_bound.serve_fps"),
     ),
     "degraded_serving": (
         # Recovery is a simulated-time ratio, not a wall-clock number:
