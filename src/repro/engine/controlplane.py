@@ -88,6 +88,7 @@ from repro.engine.server import (
     FrameResponse,
     FrameServer,
     ServeReport,
+    check_arrival,
 )
 from repro.nn.layers import Sequential
 from repro.sim.fleet import RadioModel
@@ -582,7 +583,9 @@ class ControlPlane:
         :class:`~repro.engine.server.ServeReport` with global indices,
         global node ids and recomputed SLO percentiles.  The merged
         report carries the routing/scaling accounting as
-        ``report.controlplane``.
+        ``report.controlplane``.  A NaN, infinite or negative
+        ``arrival_s`` raises ``ValueError`` naming the request index,
+        before any request is routed.
         """
         rate = (
             offered_fps
@@ -591,6 +594,8 @@ class ControlPlane:
         )
         check_positive("offered_fps", rate)
         interval = 1.0 / rate
+        for index, request in enumerate(requests):
+            check_arrival(index, request.arrival_s)
         arrivals = [
             request.arrival_s
             if request.arrival_s is not None

@@ -3,6 +3,15 @@
 All tensors follow the NCHW layout.  The convolution is implemented with
 ``im2col`` so a conv reduces to one GEMM — the standard trick that keeps
 NumPy training tractable for the network sizes Table II needs.
+
+The serving path and training share these kernels: the optical
+first-layer convolve (:meth:`repro.core.opc.OpticalProcessingCore.convolve`),
+the digital head of :class:`repro.core.pipeline.HardwareFirstLayerPipeline`
+and every layer's training forward call the same ``conv2d_forward`` and
+``maxpool2d``.  Both are byte-identical to their earlier formulations
+(``np.einsum(..., optimize=True)`` over ``sliding_window_view`` columns,
+and an argmax + ``take_along_axis`` pool) and skip their per-call set-up,
+which dominates at serving's few-frame micro-batches.
 """
 
 from __future__ import annotations
@@ -55,16 +64,16 @@ def im2col(
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
     x = pad_nchw(x, padding)
-
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x, (kernel_h, kernel_w), axis=(2, 3)
-    )  # (N, C, H', W', KH, KW)
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    # -> (N, C, KH, KW, OH, OW) -> (N, C*KH*KW, OH*OW)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, kernel_h, kernel_w, out_h, out_w),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+    return np.ascontiguousarray(windows).reshape(
         n, c * kernel_h * kernel_w, out_h * out_w
     )
-    return np.ascontiguousarray(cols)
 
 
 def col2im(
@@ -114,8 +123,16 @@ def conv2d_forward(
     out_h = conv_output_size(x.shape[2], kernel_h, stride, padding)
     out_w = conv_output_size(x.shape[3], kernel_w, stride, padding)
     cols = im2col(x, kernel_h, kernel_w, stride, padding)
+    k, p = cols.shape[1:]
     flat_w = weight.reshape(f, -1)
-    out = np.einsum("fk,nkp->nfp", flat_w, cols, optimize=True)
+    # Exactly the calls einsum("fk,nkp->nfp", optimize=True) makes, so the
+    # bytes match, minus its per-call path planning: the (N*P, K) @ (K, F)
+    # GEMM viewed back as (N, F, P), or for K == 1 a broadcast product.
+    if k == 1:
+        out = cols * flat_w[None]
+    else:
+        out = cols.transpose(0, 2, 1).reshape(n * p, k) @ flat_w.T
+        out = out.reshape(n, p, f).transpose(0, 2, 1)
     if bias is not None:
         out += bias[None, :, None]
     return out.reshape(n, f, out_h, out_w), cols
@@ -145,6 +162,27 @@ def conv2d_backward(
     grad_cols = np.einsum("fk,nfp->nkp", flat_w, grad_flat, optimize=True)
     grad_x = col2im(grad_cols, x_shape, kernel_h, kernel_w, stride, padding)
     return grad_x, grad_weight, grad_bias
+
+
+def maxpool2d(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
+    """Max pooling forward, as a running max over the window's strided slices.
+
+    Equal in value and NaN positions to :func:`maxpool2d_forward`'s
+    output: ``np.maximum`` returns its second operand on ties, so the
+    fold keeps the earliest window element — argmax's first-max rule,
+    ±0 included.  The output is a fresh C-contiguous array.
+    """
+    out_h = conv_output_size(x.shape[2], pool, stride, 0)
+    out_w = conv_output_size(x.shape[3], pool, stride, 0)
+    y_end = stride * (out_h - 1) + 1
+    x_end = stride * (out_w - 1) + 1
+    out = np.array(x[:, :, :y_end:stride, :x_end:stride], order="C")
+    for ky in range(pool):
+        for kx in range(pool):
+            if ky or kx:
+                window = x[:, :, ky : ky + y_end : stride, kx : kx + x_end : stride]
+                np.maximum(window, out, out=out)
+    return out
 
 
 def maxpool2d_forward(

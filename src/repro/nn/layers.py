@@ -263,18 +263,19 @@ class MaxPool2D(Layer):
             raise ValueError(f"pool must be positive, got {pool}")
         self.pool = pool
         self.stride = stride if stride is not None else pool
-        self._cache: tuple | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out, arg = F.maxpool2d_forward(x, self.pool, self.stride)
-        self._cache = (arg, x.shape)
-        return out
+        self._cache = x
+        return F.maxpool2d(x, self.pool, self.stride)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        arg, x_shape = self._cache
-        return F.maxpool2d_backward(grad_out, arg, x_shape, self.pool, self.stride)
+        # The argmax is only needed here, so the forward skips it.
+        x = self._cache
+        _, arg = F.maxpool2d_forward(x, self.pool, self.stride)
+        return F.maxpool2d_backward(grad_out, arg, x.shape, self.pool, self.stride)
 
 
 class AvgPool2D(Layer):

@@ -312,6 +312,32 @@ def test_explicit_arrival_times_respected(server, frames):
     assert report.stream.dropped == 0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_bad_arrival_rejected_before_any_state_changes(server, frames, bad):
+    server.serve_frames(frames[:4], "a", offered_fps=1000.0)
+    node = server.nodes[0]
+    before = (node.free_at, node.frames, server.cache.stats.hits)
+    requests = [
+        FrameRequest(frames[0], "a", arrival_s=0.0),
+        FrameRequest(frames[1], "a"),
+        FrameRequest(frames[2], "a", arrival_s=bad),
+    ]
+    with pytest.raises(ValueError, match=r"request 2: arrival_s"):
+        server.serve(requests)
+    # Rejected at admission: no node reset, nothing scheduled or computed.
+    assert (node.free_at, node.frames, server.cache.stats.hits) == before
+
+
+def test_zero_and_signed_zero_arrivals_are_admitted(server, frames):
+    requests = [
+        FrameRequest(frames[0], "a", arrival_s=-0.0),
+        FrameRequest(frames[1], "a", arrival_s=0.01),
+    ]
+    report = server.serve(requests)
+    assert report.stream.dropped == 0
+    assert report.responses[0].output is not None
+
+
 def test_out_of_order_arrivals_scheduled_by_time(server, frames):
     """Explicit timestamps may interleave; admission sorts by arrival."""
     requests = [

@@ -215,6 +215,31 @@ def test_static_multi_shard_merge_preserves_the_stream():
     assert set(cp.routes.values()) <= {"s0", "s1", "s2"}
 
 
+@pytest.mark.parametrize("autoscaled", [False, True])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3])
+def test_bad_arrival_rejected_before_routing(autoscaled, bad):
+    scaler = AutoscalerConfig(
+        window_s=0.01, min_nodes=1, max_nodes=2, fps_per_node=500.0
+    )
+    plane = ControlPlane(
+        shards=2,
+        micro_batch=8,
+        seed=0,
+        autoscaler=scaler if autoscaled else None,
+    )
+    plane.register_model("m", build_lenet(seed=0))
+    frames = np.random.default_rng(0).uniform(0.0, 1.0, (3, 1, 28, 28))
+    requests = [
+        FrameRequest(frames[0], "m", arrival_s=0.0),
+        FrameRequest(frames[1], "m", arrival_s=bad),
+        FrameRequest(frames[2], "m", arrival_s=0.002),
+    ]
+    with pytest.raises(ValueError, match=r"request 1: arrival_s"):
+        plane.serve(requests)
+    assert plane._route_of == {}
+    assert all(shard.server.cache.stats.lookups == 0 for shard in plane.shards)
+
+
 def test_partition_placement_deals_models_round_robin():
     scenario = build_scenario(
         "diurnal-regions", frames=40, offered_fps=800.0, seed=0
