@@ -191,10 +191,10 @@ def _serve_best_of(server, requests, offered_fps: float, repeats: int):
     """Best-of-``repeats`` serves of one stream.
 
     Returns ``(best reported fps, best whole-call fps, first report)``:
-    the reported figure is :attr:`ServeReport.wall_clock_fps` (host time
-    the report attributes to dispatch and compute), the whole-call figure
-    divides delivered frames by the wall-clock time of the entire
-    ``serve()`` call.
+    the reported figure is :attr:`ServeReport.wall_clock_fps` (the call
+    timed from inside ``serve()``), the whole-call figure divides
+    delivered frames by the wall-clock time of the entire ``serve()``
+    call timed from outside, so it never exceeds the reported one.
     """
     best_reported = best_call = 0.0
     first = None

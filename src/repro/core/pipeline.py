@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.opc import OpticalProcessingCore
 from repro.nn.layers import Sequential
 from repro.nn.models import TernaryInputLayer, find_first_quant_conv
-from repro.nn.quant import QuantConv2D, QuantDense
+from repro.nn.quant import QuantDense
 
 
 class HardwareFirstLayerPipeline:
@@ -68,6 +68,8 @@ class HardwareFirstLayerPipeline:
             raise ValueError("model must ternarize its input (VAM path)")
         self.model = model
         self.conv = first  # historical name; may be a QuantDense
+        #: The off-chip layers after the optical first layer.
+        self._head = model.layers[model.layers.index(first) + 1 :]
         self.opc = opc
         self.program_cache = program_cache
         self._program()
@@ -108,12 +110,6 @@ class HardwareFirstLayerPipeline:
         """
         self._program()
 
-    def _split_index(self) -> int:
-        for index, layer in enumerate(self.model):
-            if isinstance(layer, (QuantConv2D, QuantDense)):
-                return index
-        raise RuntimeError("quantized first layer disappeared from the model")
-
     def forward(
         self, x: np.ndarray, batch_size: int = 256, core=None
     ) -> np.ndarray:
@@ -134,8 +130,6 @@ class HardwareFirstLayerPipeline:
             runs on the healthy programmed core.
         """
         x = np.asarray(x, dtype=float)
-        split = self._split_index()
-        rest = self.model.layers[split + 1 :]
         optics = core if core is not None else self.opc
         outputs = []
         for start in range(0, x.shape[0], batch_size):
@@ -148,7 +142,7 @@ class HardwareFirstLayerPipeline:
                     ternary, stride=self.conv.stride, padding=self.conv.padding
                 )
             hidden = features
-            for layer in rest:
+            for layer in self._head:
                 hidden = layer.forward(hidden, training=False)
             outputs.append(hidden)
         return np.concatenate(outputs, axis=0)

@@ -88,7 +88,7 @@ from repro.engine.server import (
     FrameResponse,
     FrameServer,
     ServeReport,
-    check_arrival,
+    check_request,
 )
 from repro.nn.layers import Sequential
 from repro.sim.fleet import RadioModel
@@ -584,8 +584,10 @@ class ControlPlane:
         global node ids and recomputed SLO percentiles.  The merged
         report carries the routing/scaling accounting as
         ``report.controlplane``.  A NaN, infinite or negative
-        ``arrival_s`` raises ``ValueError`` naming the request index,
-        before any request is routed.
+        ``arrival_s``, or a frame its model cannot take
+        (:func:`~repro.engine.server.check_request`), raises
+        ``ValueError`` naming the request index, before any request is
+        routed.
         """
         rate = (
             offered_fps
@@ -594,14 +596,14 @@ class ControlPlane:
         )
         check_positive("offered_fps", rate)
         interval = 1.0 / rate
+        arrivals: list[float] = []
+        shapes: dict[str, tuple[int, ...]] = {}
         for index, request in enumerate(requests):
-            check_arrival(index, request.arrival_s)
-        arrivals = [
-            request.arrival_s
-            if request.arrival_s is not None
-            else index * interval
-            for index, request in enumerate(requests)
-        ]
+            check_request(
+                index, request, self._zoo.get(request.model_key), shapes
+            )
+            arrival = request.arrival_s
+            arrivals.append(index * interval if arrival is None else arrival)
         duration = max(arrivals, default=0.0)
 
         assignments: list[Shard] = []

@@ -35,19 +35,16 @@ changes are pinned by recorded output digests
 (``tests/test_output_digests.py``) without touching scheduling.
 
 Units: all event times in *simulated* seconds (the ``StreamEvent``
-clock); ``wall_clock_s`` in the result is host time spent building
-pipelines/timing tables, kept separate by design.
+clock).  The scheduler reads no host clock; the server times each whole
+``serve()`` call instead (``ServeReport.wall_clock_s``).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from repro.engine.admission import (
     PASS_THROUGH,
@@ -68,9 +65,10 @@ _ARRIVAL = 1
 _RETRY = 2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueuedFrame:
-    """One admitted-but-waiting frame in a policy queue."""
+    """One admitted frame on its way to a node (internal; built per
+    arrival, so slotted — retries derive copies with ``replace``)."""
 
     index: int
     model_key: str
@@ -105,16 +103,19 @@ class SchedulingPolicy:
     def select_node(self, nodes, arrival_s: float, model_key: str):
         """Free node with model affinity, else the longest-idle free node.
 
-        Verbatim the pre-split ``FrameServer._pick_node`` — every policy
-        shares it so placement stays bit-identical on the greedy path.
+        One pass with the pre-split ``FrameServer._pick_node`` choices
+        (first affine free node in node order, else the first free node
+        with the earliest ``free_at``) — every policy shares it so
+        placement stays bit-identical on the greedy path.
         """
-        free = [n for n in nodes if arrival_s >= n.free_at - _EPS]
-        if not free:
-            return None
-        for node in free:
-            if node.active_model == model_key:
-                return node
-        return min(free, key=lambda node: node.free_at)
+        longest_idle = None
+        for node in nodes:
+            if arrival_s >= node.free_at - _EPS:
+                if node.active_model == model_key:
+                    return node
+                if longest_idle is None or node.free_at < longest_idle.free_at:
+                    longest_idle = node
+        return longest_idle
 
     # -- queue surface (queueing policies only) ------------------------
     def enqueue(self, item: QueuedFrame) -> None:
@@ -299,8 +300,6 @@ class SchedulingResult:
     #: request idx -> model key actually dispatched, recorded only when it
     #: differs from the requested key (brownout reduced-bits variants).
     served: dict[int, str] = field(default_factory=dict)
-    #: Host time spent on pipeline builds + timing tables.
-    wall_clock_s: float = 0.0
 
 
 class FrameScheduler:
@@ -353,10 +352,17 @@ class FrameScheduler:
     # ------------------------------------------------------------------
     # Public entry
     # ------------------------------------------------------------------
-    def run(self, requests, arrivals: list[float]) -> SchedulingResult:
+    def run(
+        self,
+        requests,
+        arrivals: list[float],
+        shapes: dict[str, tuple[int, ...]],
+    ) -> SchedulingResult:
         """Admit and place every request; returns the scheduling decisions.
 
-        ``arrivals`` is the resolved arrival time per request index.  The
+        ``arrivals`` is the resolved arrival time per request index and
+        ``shapes`` the one frame shape each requested model key carries in
+        this call (checked at admission by the server).  The
         result's ``stream.events`` are ordered by (arrival, index) — the
         same order the pre-split engine appended them in — regardless of
         dispatch order, and ``total_energy_j`` accumulates in dispatch
@@ -366,17 +372,19 @@ class FrameScheduler:
         result = SchedulingResult(stream=StreamReport())
         self._result = result
         self._requests = requests
-        self._arrivals = arrivals
+        self._shapes = shapes
+        #: (node id, served model key) -> ((sequential s, pipelined s,
+        #: energy J) steady, (...) remap).  A call carries one frame shape
+        #: per model key, so the pair fixes the shape too.
+        self._timings: dict[tuple[int, str], tuple[tuple, tuple]] = {}
         #: Node ids with a completion event currently in the heap — one
         #: pending event per node keeps the heap linear in dispatches.
         self._free_event_pending: set[int] = set()
         #: In-flight tracking only exists when something can kill a frame
         #: mid-run (a chaos timeline) or re-dispatch one (a failover
         #: layer) — the default path allocates nothing.
-        self._track_inflight = self.failover is not None or (
-            self.monitor is not None
-            and getattr(self.monitor, "chaos", None) is not None
-        )
+        chaos = getattr(self.monitor, "chaos", None) is not None
+        self._track_inflight = self.failover is not None or chaos
         #: node id -> {request idx: (finish time, item)} for dispatched,
         #: not-yet-finished frames.
         self._in_flight: dict[int, dict[int, tuple[float, QueuedFrame]]] = {}
@@ -389,10 +397,7 @@ class FrameScheduler:
         self._lost_once: set[int] = set()
         self._retry_items: dict[int, QueuedFrame] = {}
         self._retry_serial = 0
-        if (
-            self.monitor is not None
-            and getattr(self.monitor, "chaos", None) is not None
-        ):
+        if chaos:
             self.monitor.on_node_lost = self._on_node_lost
 
         order = sorted(range(len(requests)), key=arrivals.__getitem__)
@@ -438,27 +443,23 @@ class FrameScheduler:
     # Event handlers
     # ------------------------------------------------------------------
     def _on_arrival(self, now_s: float, index: int) -> None:
-        clock = time.perf_counter
-        started = clock()
         if self.monitor is not None:
             self.monitor.advance(now_s)
         request = self._requests[index]
         model_key = request.model_key
         slo = self.admission.slo_for(model_key)
-        tenant = getattr(request, "tenant", None) or model_key
         item = QueuedFrame(
-            index=index,
-            model_key=model_key,
-            tenant=tenant,
-            arrival_s=now_s,
-            slo=slo,
-            deadline_s=slo.absolute_deadline_s(now_s),
+            index,
+            model_key,
+            request.tenant or model_key,
+            now_s,
+            slo,
+            slo.absolute_deadline_s(now_s),
         )
+        brownout = None
         if self.failover is not None:
             self.failover.record_offered(slo.name)
-        brownout = (
-            self.failover.brownout if self.failover is not None else None
-        )
+            brownout = self.failover.brownout
         if brownout is not None:
             wait = self._wait_estimate(now_s, slo)
             unavailable = (
@@ -469,7 +470,6 @@ class FrameScheduler:
             brownout.observe(now_s, wait, unavailable)
             if not brownout.admits(slo):
                 brownout.report.shed_frames += 1
-                self._result.wall_clock_s += clock() - started
                 self._drop(index, now_s, shed=True)
                 return
             limit = brownout.effective_max_queue_s(slo)
@@ -477,31 +477,31 @@ class FrameScheduler:
                 if slo.max_queue_s is None or wait <= slo.max_queue_s:
                     # Only the tightened bound sheds it — bill brownout.
                     brownout.report.shed_frames += 1
-                self._result.wall_clock_s += clock() - started
                 self._drop(index, now_s, shed=True)
                 return
         elif slo.max_queue_s is not None and self.admission.sheds(
             model_key, self._wait_estimate(now_s, slo)
         ):
-            self._result.wall_clock_s += clock() - started
             self._drop(index, now_s, shed=True)
             return
         node = self.policy.select_node(self.nodes, now_s, model_key)
         if node is None:
             if not self.policy.queueing or slo.drop_policy == "busy":
-                self._result.wall_clock_s += clock() - started
                 self._drop(index, now_s)
                 return
-            self.policy.enqueue(item)
-            # Every busy node needs a completion event on the heap, or
-            # this frame can strand: a health recalibration extends
-            # ``free_at`` *outside* a dispatch (even on an idle node), so
-            # the dispatch-time push alone does not cover it.
-            for candidate in self.nodes:
-                self._push_free_event(candidate)
-            self._result.wall_clock_s += clock() - started
+            self._enqueue(item)
             return
-        self._dispatch(item, node, now_s, started)
+        self._dispatch(item, node, now_s)
+
+    def _enqueue(self, item: QueuedFrame) -> None:
+        """Queue ``item`` to wait for a node."""
+        self.policy.enqueue(item)
+        # Every busy node needs a completion event on the heap, or the
+        # frame can strand: a health recalibration extends ``free_at``
+        # *outside* a dispatch (even on an idle node), so the
+        # dispatch-time push alone does not cover it.
+        for candidate in self.nodes:
+            self._push_free_event(candidate)
 
     def _push_free_event(self, node) -> None:
         """Schedule ``node``'s next completion (at most one pending)."""
@@ -525,18 +525,15 @@ class FrameScheduler:
         item = self._pop_live(now_s)
         if item is None:
             return
-        clock = time.perf_counter
-        started = clock()
         if self.monitor is not None:
             self.monitor.advance(now_s)
             if now_s < node.free_at - _EPS or not math.isfinite(node.free_at):
                 # The monitor just took this node offline; put the frame
                 # back and wait for the node's next completion.
                 self.policy.requeue(item)
-                self._result.wall_clock_s += clock() - started
                 self._push_free_event(node)
                 return
-        self._dispatch(item, node, now_s, started)
+        self._dispatch(item, node, now_s)
 
     def _pop_live(self, now_s: float) -> QueuedFrame | None:
         """Next queued frame whose deadline can still be met (expired
@@ -611,59 +608,45 @@ class FrameScheduler:
             retry_at = self.failover.retry_after_loss(
                 item, now_s, self._service_hint_s
             )
-        if retry_at is None:
-            self._drop(item.index, item.arrival_s, lost=True)
-        else:
-            self._schedule_retry(
-                retry_at, replace(item, attempt=item.attempt + 1)
-            )
+        self._retry_or_drop(item, retry_at)
 
-    def _schedule_retry(self, retry_at_s: float, item: QueuedFrame) -> None:
+    def _retry_or_drop(
+        self, item: QueuedFrame, retry_at_s: float | None
+    ) -> None:
+        """Schedule ``item``'s next attempt at ``retry_at_s``, or drop it
+        as lost when there is none."""
+        if retry_at_s is None:
+            self._drop(item.index, item.arrival_s, lost=True)
+            return
         serial = self._retry_serial
         self._retry_serial += 1
-        self._retry_items[serial] = item
+        self._retry_items[serial] = replace(item, attempt=item.attempt + 1)
         heapq.heappush(self._heap, (retry_at_s, _RETRY, serial))
 
     def _on_retry(self, now_s: float, serial: int) -> None:
         """One retry event: re-dispatch, re-queue, back off, or abandon."""
         item = self._retry_items.pop(serial)
-        clock = time.perf_counter
-        started = clock()
         if self.monitor is not None:
             self.monitor.advance(now_s)
         if item.deadline_s < now_s - _EPS:
-            self._result.wall_clock_s += clock() - started
             self._drop(item.index, item.arrival_s, lost=True)
             return
         node = self.policy.select_node(self.nodes, now_s, item.model_key)
         if node is None:
             if self.policy.queueing and item.slo.drop_policy != "busy":
-                self.policy.enqueue(item)
-                for candidate in self.nodes:
-                    self._push_free_event(candidate)
-                self._result.wall_clock_s += clock() - started
-                return
-            retry_at = (
-                self.failover.retry_after_busy(
-                    item, now_s, self._service_hint_s
-                )
-                if self.failover is not None
-                else None
-            )
-            self._result.wall_clock_s += clock() - started
-            if retry_at is None:
-                self._drop(item.index, item.arrival_s, lost=True)
+                self._enqueue(item)
             else:
-                self._schedule_retry(
-                    retry_at, replace(item, attempt=item.attempt + 1)
+                # Retry events only exist under a failover layer.
+                self._retry_or_drop(
+                    item,
+                    self.failover.retry_after_busy(
+                        item, now_s, self._service_hint_s
+                    ),
                 )
             return
-        self._dispatch(item, node, now_s, started)
+        self._dispatch(item, node, now_s)
 
-    def _dispatch(
-        self, item: QueuedFrame, node, start_s: float, started_clock: float
-    ) -> None:
-        clock = time.perf_counter
+    def _dispatch(self, item: QueuedFrame, node, start_s: float) -> None:
         entry = self.models[item.model_key]
         if self.failover is not None:
             effective = self.failover.effective_model_key(item.model_key)
@@ -676,13 +659,17 @@ class FrameScheduler:
                 self.failover.brownout.report.reduced_bits_frames += 1
             else:
                 self._result.served.pop(item.index, None)
-        # Building the pipeline (first sighting of a model on a node) and
-        # the timing tables is host work; charge it to wall clock.
-        pipeline = node.pipeline_for(entry)
-        steady, remap, steady_j, remap_j = entry.timing_for(
-            pipeline, np.shape(self._requests[item.index].frame)
-        )
-        self._result.wall_clock_s += clock() - started_clock
+        timings = self._timings.get((node.node_id, entry.key))
+        if timings is None:
+            # First dispatch of the pair in this run (it may build the
+            # node's pipeline for the model).
+            steady, remap, steady_j, remap_j = entry.timing_for(
+                node.pipeline_for(entry), self._shapes[item.model_key]
+            )
+            timings = self._timings[(node.node_id, entry.key)] = (
+                (steady.sequential_s, steady.pipelined_s, steady_j),
+                (remap.sequential_s, remap.pipelined_s, remap_j),
+            )
 
         tag = (
             self.monitor.degradation_tag(node)
@@ -690,9 +677,7 @@ class FrameScheduler:
             else 0
         )
         remapped = node.active_model != entry.key
-        timing = remap if remapped else steady
-        sequential_s = timing.sequential_s
-        pipelined_s = timing.pipelined_s
+        sequential_s, pipelined_s, energy_j = timings[remapped]
         if self.monitor is not None:
             # Chaos latency spikes stretch the dispatch service window;
             # outside a spike the factor is exactly 1.0 and the untouched
@@ -709,7 +694,6 @@ class FrameScheduler:
         event = StreamEvent(
             item.index, item.arrival_s, start_s, finish, False, remapped
         )
-        energy_j = remap_j if remapped else steady_j
         self._result.stream.total_energy_j += energy_j
         self._result.placements[item.index] = (node.node_id, event, tag)
         self._result.schedule.append(

@@ -36,10 +36,11 @@ pre-health engine.
 
 Units: arrivals/latencies in *simulated* seconds (``arrival_s``,
 ``StreamEvent`` fields), energies in joules, ``wall_clock_s`` in host
-seconds — the two clocks are independent by design, so host-side caching
-never changes simulated physics.  Paper anchors: the 1000 FPS frame-rate
-claim (Section IV) sets the default offered rate; the fleet transport
-budget reuses Fig. 2's thing-centric payload accounting.
+seconds of the whole ``serve()`` call — the two clocks are independent
+by design, so host-side caching never changes simulated physics.  Paper
+anchors: the 1000 FPS frame-rate claim (Section IV) sets the default
+offered rate; the fleet transport budget reuses Fig. 2's thing-centric
+payload accounting.
 
 Layering: this module is the thin facade.  Simulated-time admission and
 placement live in :mod:`repro.engine.scheduler`, service levels in
@@ -57,6 +58,8 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -96,7 +99,7 @@ from repro.engine.scheduler import (
 )
 from repro.engine.store import ProgramStore
 from repro.nn.layers import Sequential
-from repro.nn.quant import UniformWeightQuantizer
+from repro.nn.quant import QuantDense, UniformWeightQuantizer
 from repro.sim.fleet import FleetModel, RadioModel
 from repro.sim.stream import StreamEvent, StreamReport
 from repro.util.parallel import ParallelConfig, parallel_map
@@ -154,17 +157,61 @@ class FrameRequest:
     tenant: str | None = None
 
 
-def check_arrival(index: int, arrival_s: float | None) -> None:
-    """Reject request ``index`` if its explicit arrival is NaN, ±inf or < 0.
+def check_request(
+    index: int,
+    request: FrameRequest,
+    model: Sequential | None,
+    shapes: dict[str, tuple[int, ...]],
+) -> None:
+    """Reject request ``index`` at admission, before any simulated time
+    passes, with ``ValueError("request <index>: ...")``.
 
-    A scalar test per request, run at admission before any simulated
-    time passes; ``None`` (rate-derived arrival) always passes.
+    An explicit ``arrival_s`` must be finite and non-negative (``None``,
+    a rate-derived arrival, passes).  ``shapes`` maps each model key seen
+    so far in the call to its one frame shape (one shape per model key
+    per call); a key's first frame must fit ``model``'s optical first
+    layer (:func:`geometry_error`).  ``model=None`` skips the shape.
     """
+    arrival_s = request.arrival_s
     if arrival_s is not None and not 0.0 <= arrival_s < math.inf:
         raise ValueError(
             f"request {index}: arrival_s must be finite and non-negative, "
             f"got {arrival_s!r}"
         )
+    if model is None:
+        return
+    shape = np.shape(request.frame)
+    known = shapes.setdefault(request.model_key, shape)
+    if known is shape:  # the key's first frame in this call
+        problem = geometry_error(model, shape)
+    elif known != shape:
+        problem = (
+            f"got a {shape} frame after {known} frames; a call serves one "
+            "frame shape per model"
+        )
+    else:
+        return
+    if problem is not None:
+        raise ValueError(
+            f"request {index}: model {request.model_key!r} {problem}"
+        )
+
+
+def geometry_error(model: Sequential, shape: tuple[int, ...]) -> str | None:
+    """Why frames of ``shape`` cannot feed ``model``'s optical first layer
+    (``None`` when they can, or when it has none)."""
+    first = HardwareFirstLayerPipeline._find_first_quant_layer(model)
+    if first is None:
+        return None
+    width = first.weight.data.shape[1]  # input features / input channels
+    if isinstance(first, QuantDense):
+        if math.prod(shape) != width:
+            return f"expects frames of {width} features, got shape {shape}"
+    elif len(shape) != 3:
+        return f"expects (C, H, W) frames, got shape {shape}"
+    elif shape[0] != width:
+        return f"expects {width}-channel frames, got {shape[0]}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -197,7 +244,8 @@ class ServeReport:
     #: same shape :mod:`repro.sim.stream` reports.
     stream: StreamReport
     responses: list[FrameResponse] = field(default_factory=list)
-    #: Host wall-clock spent computing the admitted frames.
+    #: Host wall-clock seconds of the whole ``serve()`` call (a control
+    #: plane reports the sum over its shard calls).
     wall_clock_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -231,7 +279,7 @@ class ServeReport:
 
     @property
     def wall_clock_fps(self) -> float:
-        """Host throughput: delivered frames per wall-clock second."""
+        """Host throughput: delivered frames per second of the call."""
         if self.wall_clock_s <= 0.0:
             return 0.0
         return self.delivered / self.wall_clock_s
@@ -260,33 +308,19 @@ class _ModelEntry:
             tuple[int | None, tuple[int, ...]],
             tuple[FrameTiming, FrameTiming, float, float],
         ] = {}
-        #: (payload bytes, radio energy [J]) per delivered frame;
-        #: die-independent.
-        self._transport: tuple[int, float] = (0, 0.0)
-
-    @property
-    def transport(self) -> tuple[int, float]:
-        """(payload bytes, radio energy [J]) per delivered frame."""
-        return self._transport
+        #: (payload bytes, radio energy [J]) per delivered frame, any die.
+        self.transport: tuple[int, float] = (0, 0.0)
 
     def _workload(self, pipeline: HardwareFirstLayerPipeline, frame_shape):
+        problem = geometry_error(self.model, frame_shape)
+        if problem is not None:
+            raise ValueError(f"model {self.key!r} {problem}")
         if pipeline.is_dense:
             return MlpWorkload(
                 input_features=int(np.prod(frame_shape)),
                 output_features=pipeline.conv.weight.data.shape[0],
             )
-        if len(frame_shape) != 3:
-            raise ValueError(
-                f"model {self.key!r} expects (C, H, W) frames, got shape "
-                f"{tuple(frame_shape)}"
-            )
         channels, rows, cols = frame_shape
-        expected = pipeline.conv.weight.data.shape[1]
-        if channels != expected:
-            raise ValueError(
-                f"model {self.key!r} expects {expected}-channel frames, "
-                f"got {channels}"
-            )
         return ConvWorkload(
             kernel_size=pipeline.conv.kernel_size,
             num_kernels=pipeline.conv.weight.data.shape[0],
@@ -351,7 +385,7 @@ class _ModelEntry:
             node_report = self._fleet.oisa_node(workload)
             payload = node_report.payload_bytes
             radio = node_report.radio_energy_j
-        self._transport = (payload, radio)
+        self.transport = (payload, radio)
         self._timed[key] = (steady, remap, steady_energy, remap_energy)
         return self._timed[key]
 
@@ -809,10 +843,13 @@ class FrameServer:
         make the next scale-up free).  ``None`` (the default) serves on
         every node — byte-identical to a server without the parameter.
 
-        An unknown model key, or a NaN, infinite or negative
-        ``arrival_s``, raises ``ValueError`` (the latter naming the
-        request index) before any node state is reset or scheduled.
+        An unknown model key, a NaN, infinite or negative ``arrival_s``,
+        or a frame its model cannot take (:func:`check_request`)
+        raises ``ValueError`` (the latter two naming the request index)
+        before any node state is reset or scheduled.  The report's
+        ``wall_clock_s`` is the host time of this whole call.
         """
+        started = time.perf_counter()
         rate = offered_fps if offered_fps is not None else self.config.frame_rate_hz
         check_positive("offered_fps", rate)
         interval = 1.0 / rate
@@ -838,10 +875,17 @@ class FrameServer:
                     "node_limit does not compose with fault/chaos/"
                     "failover layers; configure the shard server plain"
                 )
+        # Arrival resolution stays here (the rate default is server
+        # policy); the simulated-time walk is the scheduler's.
+        arrivals: list[float] = []
+        shapes: dict[str, tuple[int, ...]] = {}
         for index, request in enumerate(requests):
-            if request.model_key not in self._models:
+            entry = self._models.get(request.model_key)
+            if entry is None:
                 raise ValueError(f"unknown model key {request.model_key!r}")
-            check_arrival(index, request.arrival_s)
+            check_request(index, request, entry.model, shapes)
+            arrival = request.arrival_s
+            arrivals.append(index * interval if arrival is None else arrival)
 
         # Each serve() call simulates one stream starting at t = 0; kernel
         # residency (active/programmed models, cache) carries over, busy
@@ -881,12 +925,6 @@ class FrameServer:
 
         hits0, misses0 = self.cache.stats.hits, self.cache.stats.misses
 
-        # Arrival resolution stays here (the rate default is server
-        # policy); the simulated-time walk is the scheduler's.
-        arrivals = [
-            request.arrival_s if request.arrival_s is not None else index * interval
-            for index, request in enumerate(requests)
-        ]
         active = self.nodes if node_limit is None else self.nodes[:node_limit]
         scheduler = FrameScheduler(
             active,
@@ -896,14 +934,11 @@ class FrameServer:
             monitor=monitor,
             failover=failover,
         )
-        result = scheduler.run(requests, arrivals)
+        result = scheduler.run(requests, arrivals, shapes)
 
-        outputs, batch_wall = self._compute(requests, result.schedule, monitor)
+        outputs = self._compute(requests, result.schedule, monitor)
 
-        report = ServeReport(
-            stream=result.stream,
-            wall_clock_s=result.wall_clock_s + batch_wall,
-        )
+        report = ServeReport(stream=result.stream)
         report.cache_hits = self.cache.stats.hits - hits0
         report.cache_misses = self.cache.stats.misses - misses0
         if monitor is not None:
@@ -912,28 +947,26 @@ class FrameServer:
             report.resilience = failover.report
             if failover.brownout is not None:
                 report.brownout = failover.brownout.report
+        # Transport bills the key actually dispatched — a brownout
+        # reduced-bits variant ships its own (identically shaped) feature
+        # payload.
+        transport = {key: e.transport for key, e in self._models.items()}
         for index, request in enumerate(requests):
             node_id, event, tag = result.placements[index]
-            output = outputs.get(index)
             served = result.served.get(index)
             report.responses.append(
                 FrameResponse(
                     index,
                     request.model_key,
                     node_id,
-                    output,
+                    outputs.get(index),
                     event,
                     degraded=tag > 0,
                     served_model=served,
                 )
             )
             if not event.dropped:
-                # Transport bills the key actually dispatched — a brownout
-                # reduced-bits variant ships its own (identically shaped)
-                # feature payload.
-                payload, radio_j = self._models[
-                    served or request.model_key
-                ].transport
+                payload, radio_j = transport[served or request.model_key]
                 report.payload_bytes += payload
                 report.radio_energy_j += radio_j
         report.node_frames = {node.node_id: node.frames for node in active}
@@ -953,6 +986,7 @@ class FrameServer:
         # shared with the nodes they covered — persist).
         if len(self.nodes) > base_nodes:
             del self.nodes[base_nodes:]
+        report.wall_clock_s = time.perf_counter() - started
         return report
 
     def serve_frames(
@@ -1081,7 +1115,7 @@ class FrameServer:
         requests: list[FrameRequest],
         schedule: list[tuple[int, int, str, int]],
         monitor=None,
-    ) -> tuple[dict[int, np.ndarray], float]:
+    ) -> dict[int, np.ndarray]:
         """Run the admitted frames in per-(node, model) runs.
 
         Runs are grouped within each node's own subsequence — two nodes
@@ -1098,21 +1132,10 @@ class FrameServer:
         for idx, node_id, model_key, tag in schedule:
             per_node.setdefault(node_id, []).append((idx, model_key, tag))
 
-        started = time.perf_counter()
         for node_id, entries in per_node.items():
             node = self.nodes[node_id]
-            position = 0
-            while position < len(entries):
-                _, model_key, tag = entries[position]
-                run_end = position
-                while (
-                    run_end < len(entries)
-                    and entries[run_end][1:] == (model_key, tag)
-                ):
-                    run_end += 1
-                run = entries[position:run_end]
-                position = run_end
-
+            for (model_key, tag), group in groupby(entries, itemgetter(1, 2)):
+                run = [idx for idx, _, _ in group]
                 pipeline = node.activate(self._models[model_key])
                 core = (
                     monitor.fault_core(node, model_key, tag)
@@ -1121,15 +1144,11 @@ class FrameServer:
                 )
                 for chunk_start in range(0, len(run), self.micro_batch):
                     chunk = run[chunk_start : chunk_start + self.micro_batch]
-                    batch = np.stack(
-                        [
-                            np.asarray(requests[idx].frame, dtype=float)
-                            for idx, _, _ in chunk
-                        ]
+                    batch = np.array(
+                        [requests[idx].frame for idx in chunk], dtype=float
                     )
                     logits = pipeline.forward(
                         batch, batch_size=len(chunk), core=core
                     )
-                    for offset, (idx, _, _) in enumerate(chunk):
-                        outputs[idx] = logits[offset]
-        return outputs, time.perf_counter() - started
+                    outputs.update(zip(chunk, logits))
+        return outputs
