@@ -5,9 +5,12 @@ traffic of a given shape can N nodes clear under a given scheduling
 policy without violating the SLOs?*  This module measures it by binary
 search over the offered rate — each probe regenerates the scenario at the
 probe rate (arrival processes scale with the rate by construction,
-:mod:`repro.engine.workloads`), serves it on a fresh
-:class:`~repro.engine.FrameServer`, and checks the outcome against the
-sustainability criteria:
+:mod:`repro.engine.workloads`), runs it through a fresh
+:class:`~repro.engine.FrameServer`'s simulated-time step
+(:meth:`~repro.engine.FrameServer.simulate`: admission, scheduling and
+the stream/SLO reports, no frame computes — the criteria below read
+nothing else), and checks the outcome against the sustainability
+criteria:
 
 * when the scenario defines deadlines: overall SLO hit rate at least
   ``min_hit_rate`` (drops, sheds and late deliveries all count against
@@ -70,7 +73,6 @@ class CapacitySettings:
     node_counts: tuple[int, ...] = (1, 2, 4)
     frames: int = 240
     seed: int = 0
-    micro_batch: int = 8
     #: Offered-rate search floor [FPS]; also the bracket's lower edge.
     fps_floor: float = 50.0
     #: Sustainability criteria (deadline scenarios judge on hit rate,
@@ -152,12 +154,16 @@ def _probe(
     offered_fps: float,
     cache=None,
 ) -> _ProbeOutcome:
-    """Serve the scenario once at ``offered_fps`` and judge the outcome.
+    """Simulate the scenario once at ``offered_fps`` and judge the outcome.
 
-    ``cache`` is the study-wide :class:`WeightProgramCache`: programs are
-    deterministic in (kernel set, bits, die seed), so sharing it across
-    probes skips the repeated cold AWC programming without changing any
-    simulated quantity (the cache is host-side only).
+    Models and SLO classes are adopted as
+    :meth:`~repro.engine.FrameServer.serve_scenario` does; only
+    :meth:`~repro.engine.FrameServer.simulate` runs, because the verdict
+    reads simulated time alone.  ``cache`` is the search- or study-wide
+    :class:`WeightProgramCache`: programs are deterministic in (kernel
+    set, bits, die seed), so sharing it across probes skips the repeated
+    cold AWC programming without changing any simulated quantity (the
+    cache is host-side only).
     """
     from repro.engine.server import FrameServer
     from repro.engine.workloads import build_scenario
@@ -170,12 +176,13 @@ def _probe(
     )
     server = FrameServer(
         num_nodes=nodes,
-        micro_batch=settings.micro_batch,
         seed=settings.seed,
         policy=policy,
+        slo_classes=scenario.slo_classes,
         cache=cache,
     )
-    report = server.serve_scenario(scenario)
+    server.adopt_models(scenario.models, origin=f"scenario {scenario.name!r}")
+    report = server.simulate(scenario.requests, offered_fps=scenario.offered_fps)
     drop_rate = report.stream.drop_rate
     has_deadlines = report.slo is not None and any(
         stats.deadline_s is not None for stats in report.slo.classes.values()
@@ -317,7 +324,6 @@ def _prewarm_programs(
     )
     server = FrameServer(
         num_nodes=max(settings.node_counts),
-        micro_batch=settings.micro_batch,
         seed=settings.seed,
         program_store=program_store,
     )
@@ -430,7 +436,6 @@ def sustainable_fps_per_node(
     policy: str = "greedy",
     frames: int = 96,
     seed: int = 0,
-    micro_batch: int = 8,
     cache=None,
 ) -> float:
     """One node's measured sustainable rate on ``scenario`` [FPS].
@@ -444,6 +449,12 @@ def sustainable_fps_per_node(
     seeded so the estimate (and therefore every scaling decision built on
     it) reproduces bit-for-bit.  Returns ``0.0`` when even the search
     floor is unsustainable; callers fall back to the analytic LeNet bound.
+
+    Without a ``cache`` the search builds its own
+    :class:`~repro.engine.cache.WeightProgramCache`, so each (model, die)
+    programs once per search rather than once per probe.  A caller's own
+    serving cache is deliberately not the default: probes would perturb
+    its LRU order and eviction priorities.
     """
     settings = CapacitySettings(
         scenario=scenario,
@@ -451,11 +462,14 @@ def sustainable_fps_per_node(
         node_counts=(1,),
         frames=frames,
         seed=seed,
-        micro_batch=micro_batch,
         search_iterations=5,
     )
     fleet = FleetModel()
     hint = 1.5 * fleet.fleet_capacity_fps(LENET_FIRST_LAYER, 1)
+    if cache is None:
+        from repro.engine.cache import WeightProgramCache
+
+        cache = WeightProgramCache()
     point = _search(settings, policy, 1, hint, cache=cache)
     return point.sustainable_fps
 

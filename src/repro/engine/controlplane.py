@@ -583,9 +583,9 @@ class ControlPlane:
         :class:`~repro.engine.server.ServeReport` with global indices,
         global node ids and recomputed SLO percentiles.  The merged
         report carries the routing/scaling accounting as
-        ``report.controlplane``.  A NaN, infinite or negative
-        ``arrival_s``, or a frame its model cannot take
-        (:func:`~repro.engine.server.check_request`), raises
+        ``report.controlplane``.  A model key no shard hosts, a NaN,
+        infinite or negative ``arrival_s``, or a frame its model cannot
+        take (:func:`~repro.engine.server.check_request`), raises
         ``ValueError`` naming the request index, before any request is
         routed.
         """
@@ -599,9 +599,13 @@ class ControlPlane:
         arrivals: list[float] = []
         shapes: dict[str, tuple[int, ...]] = {}
         for index, request in enumerate(requests):
-            check_request(
-                index, request, self._zoo.get(request.model_key), shapes
-            )
+            model = self._zoo.get(request.model_key)
+            if model is None:
+                raise ValueError(
+                    f"request {index}: unknown model key "
+                    f"{request.model_key!r}; no shard hosts it"
+                )
+            check_request(index, request, model, shapes)
             arrival = request.arrival_s
             arrivals.append(index * interval if arrival is None else arrival)
         duration = max(arrivals, default=0.0)

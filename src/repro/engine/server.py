@@ -46,10 +46,13 @@ Layering: this module is the thin facade.  Simulated-time admission and
 placement live in :mod:`repro.engine.scheduler`, service levels in
 :mod:`repro.engine.admission`, scenario generation in
 :mod:`repro.engine.workloads`; the facade owns model registration, node
-construction, warmup and the micro-batched host compute.  The default
-configuration — ``policy="greedy"``, no SLO classes,
-``fault_profile=None`` — is **bit-identical** to the pre-split engine
-(pinned by ``tests/test_engine_scheduler.py``).
+construction, warmup and the micro-batched host compute.  One serving
+path runs both steps, ``serve = simulate + compute``:
+:meth:`FrameServer.simulate` stops after the simulated-time step (no
+frame computes, outputs are ``None``), which is all a capacity probe
+needs.  The default configuration — ``policy="greedy"``, no SLO
+classes, ``fault_profile=None`` — is **bit-identical** to the pre-split
+engine (pinned by ``tests/test_engine_scheduler.py``).
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ class FrameRequest:
 def check_request(
     index: int,
     request: FrameRequest,
-    model: Sequential | None,
+    model: Sequential,
     shapes: dict[str, tuple[int, ...]],
 ) -> None:
     """Reject request ``index`` at admission, before any simulated time
@@ -170,7 +173,7 @@ def check_request(
     a rate-derived arrival, passes).  ``shapes`` maps each model key seen
     so far in the call to its one frame shape (one shape per model key
     per call); a key's first frame must fit ``model``'s optical first
-    layer (:func:`geometry_error`).  ``model=None`` skips the shape.
+    layer (:func:`geometry_error`).
     """
     arrival_s = request.arrival_s
     if arrival_s is not None and not 0.0 <= arrival_s < math.inf:
@@ -178,8 +181,6 @@ def check_request(
             f"request {index}: arrival_s must be finite and non-negative, "
             f"got {arrival_s!r}"
         )
-    if model is None:
-        return
     shape = np.shape(request.frame)
     known = shapes.setdefault(request.model_key, shape)
     if known is shape:  # the key's first frame in this call
@@ -238,14 +239,15 @@ class FrameResponse:
 
 @dataclass
 class ServeReport:
-    """Everything one :meth:`FrameServer.serve` call produced."""
+    """Everything one :meth:`FrameServer.serve` (or
+    :meth:`FrameServer.simulate`) call produced."""
 
     #: Simulated-time stream statistics (drops, latency, energy) in the
     #: same shape :mod:`repro.sim.stream` reports.
     stream: StreamReport
     responses: list[FrameResponse] = field(default_factory=list)
-    #: Host wall-clock seconds of the whole ``serve()`` call (a control
-    #: plane reports the sum over its shard calls).
+    #: Host wall-clock seconds of the whole ``serve()``/``simulate()``
+    #: call (a control plane reports the sum over its shard calls).
     wall_clock_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -824,14 +826,42 @@ class FrameServer:
     ) -> ServeReport:
         """Admit, schedule and compute a stream of requests.
 
+        ``serve = simulate + compute``: :meth:`simulate`'s step (same
+        arguments, validation and simulated-time report), then the
+        admitted frames compute in micro-batches, grouped into
+        consecutive same-model runs per node.  Responses carry outputs;
+        ``wall_clock_s`` and the cache counters cover both steps.
+        """
+        return self._serve(requests, offered_fps, node_limit, self._compute)
+
+    def simulate(
+        self,
+        requests: list[FrameRequest],
+        offered_fps: float | None = None,
+        node_limit: int | None = None,
+    ) -> ServeReport:
+        """Admit and schedule a stream of requests in simulated time only.
+
         Requests without explicit ``arrival_s`` arrive uniformly at
         ``offered_fps`` (default: the configured frame rate).  Admission
         and placement run in simulated time inside
         :class:`~repro.engine.scheduler.FrameScheduler` under this
         server's policy and SLO classes (the greedy default keeps the
-        drop-if-busy rule of :class:`~repro.sim.stream.StreamSimulator`);
-        the admitted frames then compute in micro-batches, grouped into
-        consecutive same-model runs per node.
+        drop-if-busy rule of :class:`~repro.sim.stream.StreamSimulator`).
+
+        The report is what :meth:`serve` returns for the same server
+        state — stream events and energy, placements, ``served_model``
+        and ``degraded`` tags, SLO, health, resilience and brownout
+        reports, node frames and transport — except that every
+        :class:`FrameResponse` has ``output=None`` and the cache counters
+        count only the programming the timing tables needed.  Simulated
+        kernel residency carries over to the next call as after
+        :meth:`serve`; the host-side programmed kernel sets and the
+        optics' read-noise streams do not advance, since nothing
+        computes.  The health monitor reads the host-side set, so under
+        a fault profile or chaos plan a call that follows ``simulate``
+        can differ from one that follows ``serve``.  Capacity searches
+        judge their probes on this report (:mod:`repro.analysis.capacity`).
 
         ``node_limit`` restricts this call to the first ``node_limit``
         nodes — the control plane's autoscaling hook.  Because
@@ -846,9 +876,20 @@ class FrameServer:
         An unknown model key, a NaN, infinite or negative ``arrival_s``,
         or a frame its model cannot take (:func:`check_request`)
         raises ``ValueError`` (the latter two naming the request index)
-        before any node state is reset or scheduled.  The report's
-        ``wall_clock_s`` is the host time of this whole call.
+        before any node state is reset or scheduled.
         """
+        return self._serve(requests, offered_fps, node_limit, None)
+
+    def _serve(
+        self,
+        requests: list[FrameRequest],
+        offered_fps: float | None,
+        node_limit: int | None,
+        compute,
+    ) -> ServeReport:
+        """The one serving path: the simulated-time step, then ``compute``
+        (:meth:`_compute` for :meth:`serve`, ``None`` for
+        :meth:`simulate`), then one report built from both."""
         started = time.perf_counter()
         rate = offered_fps if offered_fps is not None else self.config.frame_rate_hz
         check_positive("offered_fps", rate)
@@ -936,7 +977,11 @@ class FrameServer:
         )
         result = scheduler.run(requests, arrivals, shapes)
 
-        outputs = self._compute(requests, result.schedule, monitor)
+        outputs = (
+            {}
+            if compute is None
+            else compute(requests, result.schedule, monitor)
+        )
 
         report = ServeReport(stream=result.stream)
         report.cache_hits = self.cache.stats.hits - hits0

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.analysis.capacity import (
+    CapacityPoint,
     CapacitySettings,
     build_capacity_report,
     render_capacity_report,
+    sustainable_fps_per_node,
 )
 
 
@@ -94,3 +96,61 @@ def test_settings_validation():
         CapacitySettings(frames=0)
     with pytest.raises(ValueError):
         CapacitySettings(search_iterations=0)
+
+
+# ----------------------------------------------------------------------
+# Pins: probes run simulated time only, so the knees must not move
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "scenario, policy, expected",
+    [
+        ("diurnal-regions", "slo", 2296.875),
+        ("poisson", "greedy", 95.3125),
+        ("chaos", "slo", 1092.1875),
+    ],
+)
+def test_sustainable_fps_per_node_is_pinned(scenario, policy, expected):
+    assert sustainable_fps_per_node(scenario, policy=policy) == expected
+
+
+def test_fast_report_points_are_pinned(fast_report):
+    assert fast_report.points == [
+        CapacityPoint(
+            scenario="diurnal",
+            policy="greedy",
+            nodes=1,
+            sustainable_fps=593.75,
+            drop_rate=0.0,
+            hit_rate=1.0,
+            p99_latency_s=0.0014024857472000052,
+            probes=6,
+        ),
+        CapacityPoint(
+            scenario="diurnal",
+            policy="greedy",
+            nodes=2,
+            sustainable_fps=1156.25,
+            drop_rate=0.0,
+            hit_rate=1.0,
+            p99_latency_s=0.0014024857472,
+            probes=6,
+        ),
+    ]
+
+
+def test_search_programs_each_model_die_pair_once(monkeypatch):
+    from repro.engine import cache as cache_module
+
+    caches = []
+
+    class Recording(cache_module.WeightProgramCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            caches.append(self)
+
+    monkeypatch.setattr(cache_module, "WeightProgramCache", Recording)
+    sustainable_fps_per_node("diurnal-regions", policy="slo")
+    # One search-local cache; the scenario's 4 models on the one die.
+    assert len(caches) == 1
+    assert caches[0].stats.misses == 4
+    assert caches[0].stats.hits > 0

@@ -20,7 +20,7 @@ from repro.engine import (
     FrameServer,
     build_scenario,
 )
-from repro.nn.models import build_lenet
+from repro.nn.models import build_lenet, build_mlp
 
 
 def _config(**overrides):
@@ -238,6 +238,45 @@ def test_bad_arrival_rejected_before_routing(autoscaled, bad):
         plane.serve(requests)
     assert plane._route_of == {}
     assert all(shard.server.cache.stats.lookups == 0 for shard in plane.shards)
+
+
+@pytest.mark.parametrize("autoscaled", [False, True])
+def test_unknown_model_key_rejected_before_routing(autoscaled):
+    scaler = AutoscalerConfig(
+        window_s=0.01, min_nodes=1, max_nodes=2, fps_per_node=500.0
+    )
+    plane = ControlPlane(
+        shards=2,
+        micro_batch=8,
+        seed=0,
+        autoscaler=scaler if autoscaled else None,
+    )
+    plane.register_model("mlp", build_mlp(seed=0))
+    frames = np.random.default_rng(0).uniform(0.0, 1.0, (8, 784))
+    stream = [
+        FrameRequest(frame, "mlp", tenant=f"t{index % 4}")
+        for index, frame in enumerate(frames)
+    ]
+    plane.serve(stream, offered_fps=1000.0)
+
+    def state():
+        return (
+            dict(plane._route_of),
+            plane._reroutes,
+            plane._preloads,
+            [
+                (node.free_at, node.frames, node.active_model)
+                for shard in plane.shards
+                for node in shard.server.nodes
+            ],
+            repr(plane.cache.stats),
+        )
+
+    before = state()
+    unknown = FrameRequest(frames[0], "x1", tenant="t9")
+    with pytest.raises(ValueError, match=r"request 8: unknown model key 'x1'"):
+        plane.serve(stream + [unknown], offered_fps=1000.0)
+    assert state() == before
 
 
 def test_partition_placement_deals_models_round_robin():
